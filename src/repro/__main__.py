@@ -73,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics-json", metavar="PATH", default=None,
                         help="write the run's metrics snapshot as strict JSON")
     parser.add_argument("--trace-json", metavar="PATH", default=None,
-                        help="write the impression traces as Chrome "
-                             "trace_event JSON (open in Perfetto or "
-                             "chrome://tracing)")
+                        help="record the impression traces and write them "
+                             "as Chrome trace_event JSON (open in Perfetto "
+                             "or chrome://tracing)")
     parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
-                        help="write the impression traces as JSONL, one "
-                             "trace per line")
+                        help="record the impression traces and write them "
+                             "as JSONL, one trace per line")
     parser.add_argument("--faults", metavar="SPEC", default=None,
                         help="deterministic fault plan: a preset "
                              f"({', '.join(PRESET_NAMES)}), inline JSON, or "
@@ -184,7 +184,7 @@ def run_explain(argv: list[str]) -> int:
           f"scale={args.scale}) ...", file=sys.stderr)
     result = ParallelExperimentRunner(
         paper_experiment(seed=args.seed, scale=args.scale),
-        jobs=args.jobs).run()
+        jobs=args.jobs, trace=True).run()
 
     record = next((candidate for candidate in result.dataset.store
                    if candidate.record_id == args.record_id), None)
@@ -486,9 +486,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"Running the 8-campaign study (seed={args.seed}, "
           f"scale={args.scale}, jobs={args.jobs}) ...", file=sys.stderr)
     events, renderer, heartbeat = _telemetry_for(args)
+    # Traces are recorded only when an export asks for them.
     result = ParallelExperimentRunner(
         paper_experiment(seed=args.seed, scale=args.scale, faults=plan),
-        jobs=args.jobs, events=events, heartbeat_interval=heartbeat).run()
+        jobs=args.jobs, events=events, heartbeat_interval=heartbeat,
+        trace=bool(args.trace_json or args.trace_jsonl)).run()
     if renderer is not None:
         renderer.close()
     print(f"pageviews={result.stats['pageviews']} "

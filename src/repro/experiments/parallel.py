@@ -12,10 +12,11 @@ merged result is byte-for-byte identical to the serial runner's, whatever
   completion order.
 
 The same contract covers observability: each ``ShardOutput`` carries the
-shard's metrics snapshot *and* its flight-recorder trace set, and the
-merge folds both in canonical order (rewriting trace impression/record
-ids with the same cumulative offsets the store merge uses) — so
-``--trace-json`` exports are byte-identical for any ``jobs`` value.
+shard's metrics snapshot *and*, on a traced run, its flight-recorder
+trace set, and the merge folds both in canonical order (rewriting trace
+impression/record ids with the same cumulative offsets the store merge
+uses) — so ``--trace-json`` exports are byte-identical for any ``jobs``
+value.
 
 It also covers failure recovery: a shard that crashes (an injected
 :class:`~repro.faults.plan.ShardCrashError`, or a worker process dying)
@@ -55,6 +56,7 @@ output.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -119,25 +121,27 @@ def _warm_worker(config: ExperimentConfig) -> None:
 
 
 def _run_shard_job(config: ExperimentConfig, shard: ShardSpec,
-                   attempt: int = 0) -> ShardOutput:
+                   attempt: int = 0, trace: bool = False) -> ShardOutput:
     """Worker entry point: simulate one shard in this process."""
-    return run_shard(config, shard, _world_for(config), attempt=attempt)
+    return run_shard(config, shard, _world_for(config), attempt=attempt,
+                     trace=trace)
 
 
 def _run_shard_job_packed(config: ExperimentConfig, shard: ShardSpec,
-                          attempt: int = 0) -> bytes:
+                          attempt: int = 0, trace: bool = False) -> bytes:
     """Worker entry point returning the compact wire encoding.
 
     Packing on the worker side keeps the bytes crossing the process
     boundary an order of magnitude smaller than a pickled
     :class:`ShardOutput`; the parent unpacks lazily at fold time.
     """
-    return pack_shard_output(_run_shard_job(config, shard, attempt=attempt))
+    return pack_shard_output(_run_shard_job(config, shard, attempt=attempt,
+                                            trace=trace))
 
 
 def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
-                    world: World, retries: int,
-                    first_attempt: int = 0) -> ShardOutput | None:
+                    world: World, retries: int, first_attempt: int = 0,
+                    trace: bool = False) -> ShardOutput | None:
     """Run one shard in-process with crash recovery; None when lost.
 
     ``first_attempt`` resumes a shard that already burned attempts
@@ -146,7 +150,8 @@ def _run_recovering(config: ExperimentConfig, shard: ShardSpec,
     """
     for attempt in range(first_attempt, retries + 1):
         try:
-            return run_shard(config, shard, world, attempt=attempt)
+            return run_shard(config, shard, world, attempt=attempt,
+                             trace=trace)
         except ShardCrashError:
             continue
     return None
@@ -159,13 +164,15 @@ class ParallelExperimentRunner:
     executor involved — the serial fallback.  Higher values bound the
     worker-process count (capped at the shard count).  ``shard_retries``
     bounds the crash-recovery re-executions granted to each shard before
-    it is marked lost.
+    it is marked lost.  ``trace`` turns on the per-impression flight
+    recorder (``result.recorder``), off by default.
     """
 
     def __init__(self, config: ExperimentConfig, jobs: int = 1,
                  shard_retries: int = DEFAULT_SHARD_RETRIES,
                  events: EventLog | None = None,
-                 heartbeat_interval: float | None = None) -> None:
+                 heartbeat_interval: float | None = None,
+                 trace: bool = False) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         if shard_retries < 0:
@@ -175,6 +182,7 @@ class ParallelExperimentRunner:
         self.shard_retries = shard_retries
         self.events = events
         self.heartbeat_interval = heartbeat_interval
+        self.trace = trace
 
     def run(self) -> ExperimentResult:
         config = self.config
@@ -194,7 +202,8 @@ class ParallelExperimentRunner:
                 heartbeat.pulse(done, done_weight, running=1,
                                 queued=len(shards) - done - 1)
                 output = _run_recovering(config, shard, world,
-                                         self.shard_retries)
+                                         self.shard_retries,
+                                         trace=self.trace)
                 if output is None:
                     merger.fold_lost(shard.scope, at=shard.end_unix)
                 else:
@@ -218,6 +227,7 @@ class ParallelExperimentRunner:
         inline, each resuming from its recorded attempt.
         """
         config = self.config
+        job = functools.partial(_run_shard_job_packed, trace=self.trace)
         workers = min(self.jobs, len(shards))
         submit_order = sorted(range(len(shards)),
                               key=lambda i: (-shards[i].weight, i))
@@ -256,8 +266,7 @@ class ParallelExperimentRunner:
                     initializer=_warm_worker,
                     initargs=(config,)) as pool:
                 pending = {
-                    pool.submit(_run_shard_job_packed, config, shards[index],
-                                0): (index, 0)
+                    pool.submit(job, config, shards[index], 0): (index, 0)
                     for index in submit_order}
                 while pending:
                     # The timeout keyword only appears when heartbeats are
@@ -282,8 +291,7 @@ class ParallelExperimentRunner:
                             if attempt < self.shard_retries:
                                 attempts[index] = attempt + 1
                                 retry = pool.submit(
-                                    _run_shard_job_packed, config,
-                                    shards[index], attempt + 1)
+                                    job, config, shards[index], attempt + 1)
                                 pending[retry] = (index, attempt + 1)
                             else:
                                 settle(index, _LOST)
@@ -296,7 +304,8 @@ class ParallelExperimentRunner:
             if not settled[index]:
                 output = _run_recovering(config, shards[index], world,
                                          self.shard_retries,
-                                         first_attempt=attempts[index])
+                                         first_attempt=attempts[index],
+                                         trace=self.trace)
                 settle(index, _LOST if output is None else output)
         fold_ready()
         heartbeat.pulse(settled_count, settled_weight, force=True)

@@ -108,7 +108,8 @@ class ExperimentResult:
     #: Canonical merge of the per-shard flight recorders: one trace per
     #: retained impression, with impression/record ids rewritten to the
     #: merged numbering.  ``python -m repro explain`` and the
-    #: ``--trace-json`` export read from here.
+    #: ``--trace-json`` export read from here.  Empty unless the run was
+    #: traced (``trace=True``).
     recorder: FlightRecorder = field(default_factory=FlightRecorder)
     #: Measurement-loss ledger: every ground-truth delivery classified as
     #: observed / quarantined / lost, reconciling exactly (see
@@ -331,7 +332,8 @@ class ShardOutput:
     #: every sim-domain metric.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: The shard flight recorder's retained traces, in commit order, with
-    #: shard-local impression/record ids (the merge rewrites both).
+    #: shard-local impression/record ids (the merge rewrites both); empty
+    #: for an untraced shard.
     traces: tuple[TraceRecord, ...] = ()
     #: Per-(publisher, campaign) delivery/loss accounting for this shard.
     coverage: CoverageCounts = field(default_factory=CoverageCounts)
@@ -346,7 +348,8 @@ class ShardOutput:
 
 
 def run_shard(config: ExperimentConfig, shard: ShardSpec,
-              world: World, attempt: int = 0) -> ShardOutput:
+              world: World, attempt: int = 0,
+              trace: bool = False) -> ShardOutput:
     """Simulate one shard end to end.
 
     Every stochastic component draws from streams scoped to the shard
@@ -361,6 +364,12 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     *attempt* is the crash-recovery re-execution counter.  It feeds only
     the fault plan's injected-crash decision — never any RNG stream — so
     a successful re-execution is byte-identical to a first-try success.
+
+    *trace* turns on the shard's flight recorder.  An untraced shard
+    still drives a :class:`Tracer` (it keeps the sim-time instants other
+    components stamp events with) but records no spans, ships no traces
+    and registers no ``trace.*`` counters; every other output is
+    byte-identical either way.
     """
     if config.faults.should_crash(shard.scope, attempt):
         raise ShardCrashError(
@@ -374,7 +383,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     pageview_counter = metrics.counter(
         "shard.pageviews", help="pageviews simulated across all shards")
 
-    recorder = FlightRecorder()
+    recorder = FlightRecorder() if trace else None
     tracer = Tracer(recorder, seed=config.seed, scope=scope)
     # The shard's sim-domain event journal.  Emission is unconditional —
     # it draws no RNG and touches no metric, so collecting it cannot
@@ -477,17 +486,18 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
             if conversion is not None:
                 conversions.append(conversion)
 
+    if recorder is not None:
+        metrics.counter(
+            "trace.committed",
+            help="impression traces committed to the flight recorder"
+        ).inc(recorder.committed)
+        metrics.counter(
+            "trace.dropped",
+            help="committed traces evicted by the head/tail retention bound"
+        ).inc(recorder.dropped)
+
     # Post-flight: the vendor's silent fraud clawback on this shard's
     # deliveries, then the mergeable billing/report projections.
-    metrics.counter(
-        "trace.committed",
-        help="impression traces committed to the flight recorder"
-    ).inc(recorder.committed)
-    metrics.counter(
-        "trace.dropped",
-        help="committed traces evicted by the head/tail retention bound"
-    ).inc(recorder.dropped)
-
     server.billing.apply_fraud_refunds(server.impressions,
                                        rngs.stream(f"refunds/{scope}"))
     reporter = VendorReporter()
@@ -516,7 +526,7 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
         connections_without_hello=collector.connections_without_hello,
         records_committed=collector.records_committed,
         metrics=metrics.snapshot(),
-        traces=recorder.traces(),
+        traces=recorder.traces() if recorder is not None else (),
         coverage=coverage,
         quarantine=collector.quarantine.entries(),
         quarantine_dropped=collector.quarantine.dropped,
@@ -749,8 +759,11 @@ class ShardMerger:
                 charged_eur=server.billing.charged_total(campaign_id),
                 refunded_eur=server.billing.refunded_total(campaign_id))
 
+        # Only traced shards ship traces for enrichment to annotate.
         enricher = Enricher(world.ipdb, world.resolver,
-                            world.universe.ranking, recorder=self._recorder)
+                            world.universe.ranking,
+                            recorder=self._recorder if len(self._recorder)
+                            else None)
         with self._memwatch.stage("enrich"):
             enricher.enrich_store(store)
         conversions = [event.anonymized(enricher.salt)
@@ -862,15 +875,19 @@ class ExperimentRunner:
     ``events`` (optional) collects the run's telemetry journal; when
     ``heartbeat_interval`` is also set (seconds), wall-domain
     ``runner.heartbeat`` events are emitted as shards complete — both
-    default off, so plain runs pay nothing.
+    default off, so plain runs pay nothing.  ``trace`` turns on the
+    per-impression flight recorder (``result.recorder``); it is off by
+    default for the same reason.
     """
 
     def __init__(self, config: ExperimentConfig,
                  events: EventLog | None = None,
-                 heartbeat_interval: float | None = None) -> None:
+                 heartbeat_interval: float | None = None,
+                 trace: bool = False) -> None:
         self.config = config
         self.events = events
         self.heartbeat_interval = heartbeat_interval
+        self.trace = trace
 
     def run(self) -> ExperimentResult:
         """Run the whole experiment; deterministic in the config's seed.
@@ -897,7 +914,8 @@ class ExperimentRunner:
             for attempt in range(DEFAULT_SHARD_RETRIES + 1):
                 try:
                     merger.fold(run_shard(config, shard, world,
-                                          attempt=attempt))
+                                          attempt=attempt,
+                                          trace=self.trace))
                     break
                 except ShardCrashError:
                     continue

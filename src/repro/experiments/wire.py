@@ -13,10 +13,11 @@ This module packs the output column-wise instead:
 * one shard-wide **string table** interns every repeated string (span
   names, attribute keys/values, campaign ids, domains, URLs, IPs, UAs)
   so each appears once, with ``array``-typed index columns pointing in;
-* **traces** become flat parallel arrays over spans (parent/name/start/
-  end/attr-count) plus an instant table deduplicating timestamps; trace
-  ids are *not* transmitted at all — they are a pure function of (seed,
-  scope, impression id) and are recomputed on unpack;
+* **traces** (traced runs only; an untraced shard ships none and the
+  frame carries no trace columns) become flat parallel arrays over spans
+  (parent/name/start/end/attr-count) plus an instant table deduplicating
+  timestamps; trace ids are *not* transmitted at all — they are a pure
+  function of (seed, scope, impression id) and are recomputed on unpack;
 * **impressions** shed their nested ``CampaignSpec`` and ``Publisher``:
   only the campaign id and publisher domain cross the wire, and
   :func:`unpack_shard_output` re-attaches the parent world's own objects
@@ -59,8 +60,9 @@ from repro.web.browsing import Pageview
 #: to the tail tuple.  v3 replaced the parsed-JSONL store section with
 #: the store's raw column payload (strings routed through the frame's
 #: interner), so the merge folds columns directly instead of re-parsing
-#: JSONL per shard.
-WIRE_VERSION = 3
+#: JSONL per shard.  v4 ships ``None`` in place of the trace columns when
+#: the shard was untraced.
+WIRE_VERSION = 4
 
 _COMPRESS_LEVEL = 6
 
@@ -295,7 +297,7 @@ def scaled_campaign_specs(config: ExperimentConfig, shard) -> dict:
 def pack_shard_output(output: ShardOutput) -> bytes:
     """Serialise one shard output into the compact wire frame."""
     intern = _Interner()
-    traces = _pack_traces(output.traces, intern)
+    traces = _pack_traces(output.traces, intern) if output.traces else None
     impressions = _pack_impressions(output.impressions, intern)
     store = _pack_store(output.store_columns, intern)
     frame = (
@@ -369,7 +371,8 @@ def unpack_shard_output(blob: bytes, config: ExperimentConfig,
         connections_without_hello=connections_without_hello,
         records_committed=records_committed,
         metrics=metrics,
-        traces=_unpack_traces(traces, table, config.seed, shard.scope),
+        traces=() if traces is None
+        else _unpack_traces(traces, table, config.seed, shard.scope),
         coverage=coverage,
         quarantine=quarantine,
         quarantine_dropped=quarantine_dropped,

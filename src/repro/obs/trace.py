@@ -27,6 +27,12 @@ The same two rules that keep the metrics reproducible apply here:
   :class:`~repro.obs.metrics.MetricsSnapshot`.  Serial and ``--jobs N``
   runs therefore retain the identical trace set.
 
+* **Pay for use.**  Recording is opt-in per run: the runners record only
+  when asked (the CLI asks for ``--trace-json``, ``--trace-jsonl`` and
+  ``explain``).  An untraced shard's :class:`Tracer` has no recorder and
+  keeps only the sim-time bookkeeping, so the instants it reports to
+  other components are the same with tracing on or off.
+
 Depends only on the standard library and ``repro.util.hashing``; every
 other package may import ``repro.obs.trace`` without creating a cycle.
 """
@@ -159,15 +165,22 @@ class Tracer:
     (pageview produced nothing).  Every span method is a silent no-op
     while no trace is pending, so instrumented components behave
     identically when constructed standalone.
+
+    Built with no *recorder* the tracer is *untraced*: every method still
+    runs, but does only the sim-now bookkeeping (:attr:`now` and the span
+    nesting depth) — no span record is built and no attribute is frozen.
+    Components read :attr:`now` to timestamp journal events, so an
+    untraced run reports exactly the same instants as a traced one.
     """
 
     def __init__(self, recorder: "FlightRecorder | None" = None,
                  seed: int = 0, scope: str = "") -> None:
-        self.recorder = recorder if recorder is not None else FlightRecorder()
+        self.recorder = recorder
         self.seed = seed
         self.scope = scope
         self._spans: list[SpanRecord] = []
         self._stack: list[_OpenSpan] = []
+        self._depth = 0
         self._next_span_id = 0
         self._active = False
         self._now = 0.0
@@ -228,6 +241,9 @@ class Tracer:
         if self._impression_id is None:
             raise TraceError("cannot commit a trace without an impression "
                              "identity; call set_impression first")
+        if self.recorder is None:
+            self._reset()
+            return None
         close_at = end if end is not None else self._last_end
         while self._stack:
             self._pop(max(close_at, self._stack[-1].start))
@@ -250,6 +266,7 @@ class Tracer:
     def _reset(self) -> None:
         self._spans = []
         self._stack = []
+        self._depth = 0
         self._next_span_id = 0
         self._active = False
         self._impression_id = None
@@ -267,7 +284,7 @@ class Tracer:
 
     def end(self, at: float) -> None:
         """Close the innermost open span (the root only closes at commit)."""
-        if not self._active or len(self._stack) <= 1:
+        if not self._active or self._depth <= 1:
             return
         self.advance_to(at)
         self._pop(at)
@@ -278,6 +295,8 @@ class Tracer:
         if not self._active:
             return
         self.advance_to(end)
+        if self.recorder is None:
+            return
         self._last_end = max(self._last_end, end)
         parent = self._stack[-1].span_id if self._stack else None
         self._spans.append(SpanRecord(
@@ -290,12 +309,18 @@ class Tracer:
 
     def _push(self, name: str, at: float,
               attrs: dict[str, object]) -> None:
+        self._depth += 1
+        if self.recorder is None:
+            return
         parent = self._stack[-1].span_id if self._stack else None
         self._stack.append(_OpenSpan(
             span_id=self._take_id(), parent_id=parent, name=name,
             start=at, attrs=_freeze_attrs(attrs)))
 
     def _pop(self, at: float) -> None:
+        self._depth -= 1
+        if self.recorder is None:
+            return
         open_span = self._stack.pop()
         end = max(at, open_span.start)
         self._last_end = max(self._last_end, end)
@@ -318,7 +343,7 @@ class NullTracer(Tracer):
     """
 
     def __init__(self) -> None:
-        super().__init__(recorder=FlightRecorder(head=0, tail=0))
+        super().__init__()
 
     def start(self, name: str, at: float, **attrs: object) -> None:
         return

@@ -13,4 +13,5 @@ def small_config():
 
 @pytest.fixture(scope="session")
 def small_result(small_config):
-    return ExperimentRunner(small_config).run()
+    # Traced: the parallel-equivalence tests read its flight recorder.
+    return ExperimentRunner(small_config, trace=True).run()

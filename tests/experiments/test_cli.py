@@ -59,11 +59,14 @@ class TestMain:
         assert "Frequency capping" in out
 
     def test_trace_export_flags(self, capsys, tmp_path):
+        # The trace flags are what turn recording on for the run.
         trace_path = tmp_path / "trace.json"
         jsonl_path = tmp_path / "trace.jsonl"
+        metrics_path = tmp_path / "metrics.json"
         code = main(["--scale", "0.01", "--seed", "5", "--table", "3",
                      "--trace-json", str(trace_path),
-                     "--trace-jsonl", str(jsonl_path)])
+                     "--trace-jsonl", str(jsonl_path),
+                     "--metrics-json", str(metrics_path)])
         assert code == 0
         err = capsys.readouterr().err
         assert "traces" in err
@@ -81,6 +84,9 @@ class TestMain:
         traces = loads_trace_jsonl(jsonl_path.read_text())
         assert traces
         assert all(trace.trace_id for trace in traces)
+        counters = json.loads(metrics_path.read_text())["sim"]["counters"]
+        assert counters["trace.committed"] == len(traces)
+        assert counters["trace.dropped"] == 0
 
     def test_explain_renders_receipt(self, capsys):
         code = main(["explain", "17", "--scale", "0.01", "--seed", "5"])
@@ -133,6 +139,9 @@ class TestMain:
         parsed = json.loads(text)
         assert parsed["sim"]["counters"]["shard.pageviews"] > 0
         assert "collector.connection_seconds" in parsed["sim"]["histograms"]
+        # No trace export was asked for, so the run was untraced.
+        assert not any(name.startswith("trace.")
+                       for name in parsed["sim"]["counters"])
 
 
 class TestTelemetryFlags:

@@ -57,7 +57,8 @@ class TestShardPlan:
 class TestParallelEquivalence:
     @pytest.fixture(scope="class")
     def parallel_result(self, small_config):
-        return ParallelExperimentRunner(small_config, jobs=2).run()
+        return ParallelExperimentRunner(small_config, jobs=2,
+                                        trace=True).run()
 
     def test_stores_byte_identical(self, small_result, parallel_result):
         assert parallel_result.dataset.store.dumps_jsonl() \
@@ -185,7 +186,8 @@ class TestJobsSweepEquivalence:
 
     @pytest.fixture(scope="class")
     def sweep_results(self, sweep_config):
-        return {jobs: ParallelExperimentRunner(sweep_config, jobs=jobs).run()
+        return {jobs: ParallelExperimentRunner(sweep_config, jobs=jobs,
+                                               trace=True).run()
                 for jobs in (1, 2, 4)}
 
     def test_stores_byte_identical(self, sweep_results):
@@ -323,10 +325,11 @@ class TestBrokenPoolAttemptThreading:
         real_run_shard = parallel_module.run_shard
         attempts_seen = []
 
-        def counting_run_shard(cfg, shard, world, attempt=0):
+        def counting_run_shard(cfg, shard, world, attempt=0, trace=False):
             if shard.scope == scope:
                 attempts_seen.append(attempt)
-            return real_run_shard(cfg, shard, world, attempt=attempt)
+            return real_run_shard(cfg, shard, world, attempt=attempt,
+                                  trace=trace)
 
         class FakeFuture:
             def __init__(self, fn, args):

@@ -29,13 +29,15 @@ SEED, SCALE = 2016, 0.01
 
 @pytest.fixture(scope="module")
 def optimized_result():
-    return ExperimentRunner(paper_experiment(seed=SEED, scale=SCALE)).run()
+    return ExperimentRunner(paper_experiment(seed=SEED, scale=SCALE),
+                            trace=True).run()
 
 
 @pytest.fixture(scope="module")
 def reference_result():
     with hotpath.reference_hotpaths():
-        return ExperimentRunner(paper_experiment(seed=SEED, scale=SCALE)).run()
+        return ExperimentRunner(paper_experiment(seed=SEED, scale=SCALE),
+                                trace=True).run()
 
 
 class TestReferenceEquivalence:

@@ -26,7 +26,7 @@ from repro.obs.traceio import (
 
 
 def build_trace(tracer=None, impression_id=7, record_id=3):
-    tracer = tracer or Tracer(seed=11, scope="P1/DE/0")
+    tracer = tracer or Tracer(FlightRecorder(), seed=11, scope="P1/DE/0")
     tracer.start("impression", at=100.0, publisher="site.example")
     tracer.event("auction.decide", at=100.0, winner="C1")
     tracer.begin("transport.connect", at=100.5, connection=1)
@@ -75,7 +75,7 @@ class TestTracer:
         assert trace.trace_id == trace_id_for(11, "P1/DE/0", 7)
 
     def test_attrs_stringified_deterministically(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=0.0, flag=True, ratio=0.25, count=3, label="x")
         tracer.set_impression(1, "C")
         trace = tracer.commit()
@@ -85,7 +85,7 @@ class TestTracer:
         assert trace.root.attr("missing") is None
 
     def test_span_methods_are_noops_without_pending_trace(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.event("auction.decide", at=5.0)
         tracer.begin("transport.connect", at=6.0)
         tracer.end(at=7.0)
@@ -93,19 +93,19 @@ class TestTracer:
         assert len(tracer.recorder) == 0
 
     def test_commit_without_impression_raises(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=0.0)
         with pytest.raises(TraceError):
             tracer.commit()
 
     def test_double_start_raises(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=0.0)
         with pytest.raises(TraceError):
             tracer.start("root", at=1.0)
 
     def test_abandon_discards_pending(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=0.0)
         tracer.abandon()
         assert not tracer.active
@@ -114,7 +114,7 @@ class TestTracer:
         assert len(tracer.recorder) == 1
 
     def test_end_never_pops_the_root(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=0.0)
         tracer.end(at=1.0)      # no open child: must be a no-op
         tracer.event("leaf", at=2.0)
@@ -124,7 +124,7 @@ class TestTracer:
             == trace.root.span_id
 
     def test_now_advances_monotonically(self):
-        tracer = Tracer(seed=1, scope="s")
+        tracer = Tracer(FlightRecorder(), seed=1, scope="s")
         tracer.start("root", at=10.0)
         tracer.advance_to(20.0)
         tracer.advance_to(15.0)
@@ -141,6 +141,70 @@ class TestTracer:
         assert NULL_TRACER.commit() is None
         assert not NULL_TRACER.active
         assert isinstance(NULL_TRACER, NullTracer)
+
+
+def drive(tracer):
+    """One pageview's worth of calls, recording ``now`` after each."""
+    seen = []
+    tracer.start("impression", at=10.0, publisher="site.example")
+    seen.append(tracer.now)
+    tracer.event("auction.decide", at=10.0, winner="C1")
+    tracer.begin("transport.connect", at=10.5, connection=1)
+    seen.append(tracer.now)
+    tracer.begin("ws.session", at=10.7)
+    tracer.span("collector.ingest", start=10.8, end=11.5, record=1)
+    seen.append(tracer.now)
+    tracer.end(at=12.0)
+    tracer.end(at=12.5)
+    tracer.end(at=30.0)         # only the root is left: a no-op
+    seen.append(tracer.now)
+    tracer.event("beacon.retry", at=11.0)   # earlier: now never goes back
+    tracer.advance_to(13.0)
+    seen.append(tracer.now)
+    tracer.set_impression(4, "C1")
+    tracer.set_record(2)
+    committed = tracer.commit()
+    tracer.event("late", at=99.0)           # no trace pending: ignored
+    tracer.begin("late", at=99.0)
+    seen.append(tracer.now)
+    return committed, seen
+
+
+class TestUntracedTracer:
+    """A tracer with no recorder keeps sim-time and builds nothing."""
+
+    def test_now_matches_a_traced_tracer_call_for_call(self):
+        traced, traced_now = drive(Tracer(FlightRecorder(), seed=1,
+                                          scope="s"))
+        untraced, untraced_now = drive(Tracer(seed=1, scope="s"))
+        assert traced is not None
+        assert untraced is None
+        assert untraced_now == traced_now
+        assert untraced_now == [10.0, 10.5, 11.5, 12.5, 13.0, 13.0]
+
+    def test_builds_no_spans(self):
+        tracer = Tracer(seed=1, scope="s")
+        assert tracer.recorder is None
+        tracer.start("impression", at=0.0)
+        tracer.begin("transport.connect", at=1.0)
+        tracer.event("ws.frame", at=2.0, opcode="text")
+        tracer.span("collector.ingest", start=2.0, end=3.0)
+        assert tracer._spans == [] and tracer._stack == []
+        tracer.set_impression(1, "C")
+        assert tracer.commit() is None
+        assert not tracer.active
+
+    def test_lifecycle_rules_still_hold(self):
+        tracer = Tracer(seed=1, scope="s")
+        tracer.start("root", at=0.0)
+        with pytest.raises(TraceError):
+            tracer.start("root", at=1.0)
+        with pytest.raises(TraceError):
+            tracer.commit()     # no impression identity
+        tracer.abandon()
+        assert not tracer.active
+        tracer.start("root", at=2.0)    # a fresh start works afterwards
+        assert tracer.active and tracer.now == 2.0
 
 
 class TestFlightRecorder:
@@ -208,10 +272,10 @@ class TestFlightRecorder:
 
 class TestTraceIO:
     def test_chrome_export_is_strict_json_with_one_tid_per_trace(self):
-        traces = [build_trace(Tracer(seed=1, scope="a"), impression_id=1,
-                              record_id=1),
-                  build_trace(Tracer(seed=1, scope="b"), impression_id=2,
-                              record_id=2)]
+        traces = [build_trace(Tracer(FlightRecorder(), seed=1, scope="a"),
+                              impression_id=1, record_id=1),
+                  build_trace(Tracer(FlightRecorder(), seed=1, scope="b"),
+                              impression_id=2, record_id=2)]
         text = dumps_chrome_trace(traces)
         document = json.loads(text)
         events = document["traceEvents"]
@@ -227,9 +291,9 @@ class TestTraceIO:
         assert "NaN" not in text and "Infinity" not in text
 
     def test_jsonl_round_trip_is_lossless(self):
-        traces = (build_trace(), build_trace(Tracer(seed=2, scope="x"),
-                                             impression_id=9,
-                                             record_id=None))
+        traces = (build_trace(),
+                  build_trace(Tracer(FlightRecorder(), seed=2, scope="x"),
+                              impression_id=9, record_id=None))
         assert loads_trace_jsonl(dumps_trace_jsonl(traces)) == traces
 
     def test_render_tree_shows_nesting_and_attrs(self):
