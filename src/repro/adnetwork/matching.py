@@ -59,6 +59,15 @@ class MatchDecision:
         return self.reason in (MatchReason.CONTEXTUAL, MatchReason.BEHAVIOURAL)
 
 
+#: The four possible verdicts.  ``MatchDecision`` is frozen, so every
+#: decision shares one of these instead of allocating its own.
+ELIGIBLE_CONTEXTUAL = MatchDecision(eligible=True, reason=MatchReason.CONTEXTUAL)
+ELIGIBLE_BEHAVIOURAL = MatchDecision(eligible=True,
+                                     reason=MatchReason.BEHAVIOURAL)
+ELIGIBLE_BROAD = MatchDecision(eligible=True, reason=MatchReason.BROAD)
+NOT_ELIGIBLE = MatchDecision(eligible=False, reason=MatchReason.NONE)
+
+
 class MatchEngine:
     """Eligibility decisions for every (campaign, pageview) pair.
 
@@ -93,6 +102,9 @@ class MatchEngine:
         self.behavioural_rate = behavioural_rate
         self.vertical_radius_edges = vertical_radius_edges
         self._contextual_cache: dict[tuple[str, str], bool] = {}
+        #: (campaign_id, interests) → behavioural verdict; visitors keep
+        #: their interest profile, so the same tuples recur all shard long.
+        self._behavioural_cache: dict[tuple[str, tuple[str, ...]], bool] = {}
         #: (campaign_id, radius) → union of the campaign topics'
         #: taxonomy neighbourhoods; built from the tree-level
         #: ``nodes_within`` memo that the context audit shares.
@@ -198,12 +210,30 @@ class MatchEngine:
         (run-of-network expansion) — which is how keyword campaigns with
         almost no matching inventory still manage to spend.
         """
-        if campaign.keywords and self.contextual_match(campaign, publisher):
-            return MatchDecision(eligible=True, reason=MatchReason.CONTEXTUAL)
-        if self.behavioural_match(campaign, interests) \
-                and rng.random() < self.behavioural_rate:
-            return MatchDecision(eligible=True, reason=MatchReason.BEHAVIOURAL)
         rate = self.broad_match_rate if broad_rate is None else broad_rate
-        if rng.random() < rate:
-            return MatchDecision(eligible=True, reason=MatchReason.BROAD)
-        return MatchDecision(eligible=False, reason=MatchReason.NONE)
+        return self.settle(self.contextual_match(campaign, publisher),
+                           campaign, interests, rng, rate)
+
+    def settle(self, contextual: bool, campaign: CampaignSpec,
+               interests: tuple[str, ...], rng: random.Random,
+               broad_rate: float) -> MatchDecision:
+        """The decision once the page-classifier verdict is known.
+
+        *contextual* is :meth:`contextual_match` for the pageview's
+        publisher, which the ad server computes once per publisher.  The
+        draws from *rng* are the decision's whole RNG footprint: none for
+        a contextual match, one behavioural roll when the visitor's
+        profile matches, then one broad roll at probability *broad_rate*.
+        """
+        if contextual:
+            return ELIGIBLE_CONTEXTUAL
+        key = (campaign.campaign_id, interests)
+        behavioural = self._behavioural_cache.get(key)
+        if behavioural is None:
+            behavioural = self.behavioural_match(campaign, interests)
+            self._behavioural_cache[key] = behavioural
+        if behavioural and rng.random() < self.behavioural_rate:
+            return ELIGIBLE_BEHAVIOURAL
+        if rng.random() < broad_rate:
+            return ELIGIBLE_BROAD
+        return NOT_ELIGIBLE

@@ -25,6 +25,7 @@ from repro.geo.ipdb import GeoIpDatabase
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.web.browsing import Pageview
+from repro.web.publisher import Publisher
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,24 @@ class DeliveredImpression:
     @property
     def publisher_domain(self) -> str:
         return self.pageview.publisher.domain
+
+
+class _PlanEntry:
+    """One campaign's standing on one placement (see ``AdServer._plan_for``).
+
+    Everything here is fixed for the server's lifetime.  The contextual
+    verdict is filled in the first time a pageview needs it: most entries
+    belong to campaigns whose flight is not running.
+    """
+
+    __slots__ = ("campaign", "start_unix", "end_unix", "cap", "contextual")
+
+    def __init__(self, campaign: CampaignSpec, cap: Optional[int]) -> None:
+        self.campaign = campaign
+        self.start_unix = campaign.start_unix
+        self.end_unix = campaign.end_unix
+        self.cap = cap
+        self.contextual: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +117,9 @@ class AdServer:
                  exposure_model: ExposureModel | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
-        self.campaigns = list(campaigns)
+        #: Fixed for the server's lifetime (and ``CampaignSpec`` is
+        #: frozen), which is what keeps the eligibility plans valid.
+        self.campaigns = tuple(campaigns)
         self.matcher = matcher
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -112,9 +133,13 @@ class AdServer:
         self.billing = BillingLedger(metrics=self.metrics,
                                      tracer=self.tracer)
         self._next_impression_id = 1
+        #: (resolved country, publisher domain, is_anonymous) → the
+        #: eligibility plan for that placement; see :meth:`_plan_for`.
+        self._plans: dict[tuple[str, str, bool], tuple[_PlanEntry, ...]] = {}
         self._frequency: dict[tuple[str, str, str], int] = {}
-        self._supply_matched: dict[str, int] = {}
-        self._supply_examined: dict[str, int] = {}
+        self._supply_matched = {campaign.campaign_id: 0
+                                for campaign in self.campaigns}
+        self._supply_examined = dict(self._supply_matched)
         self.prefiltered_pageviews = 0
         self.impressions: list[DeliveredImpression] = []
         self._pageviews_seen = self.metrics.counter(
@@ -137,12 +162,27 @@ class AdServer:
             return campaign.frequency_cap
         return self.policy.default_frequency_cap
 
-    def _under_cap(self, campaign: CampaignSpec, pageview: Pageview) -> bool:
-        cap = self._effective_cap(campaign)
-        if cap is None:
-            return True
-        key = (campaign.campaign_id, pageview.ip, pageview.user_agent)
-        return self._frequency.get(key, 0) < cap
+    def _plan_for(self, country: str,
+                  publisher: Publisher) -> tuple[_PlanEntry, ...]:
+        """The eligibility plan for a placement, built on first use.
+
+        In campaign order, every campaign that targets *country* and does
+        not exclude *publisher*, with its effective frequency cap and
+        (once needed) its contextual verdict.  None of these depend on
+        the pageview's time or visitor, so only the flight window and the
+        cap count are left to check per pageview.
+        """
+        key = (country, publisher.domain, publisher.is_anonymous)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = tuple(
+                _PlanEntry(campaign, self._effective_cap(campaign))
+                for campaign in self.campaigns
+                if campaign.targets_country(country)
+                and not campaign.excludes_publisher(publisher.domain,
+                                                    publisher.is_anonymous))
+            self._plans[key] = plan
+        return plan
 
     def _count_delivery(self, campaign: CampaignSpec, pageview: Pageview) -> None:
         key = (campaign.campaign_id, pageview.ip, pageview.user_agent)
@@ -171,17 +211,22 @@ class AdServer:
         the two regimes Table 2 shows.
         """
         policy = self.policy
-        elapsed_days = max(0.0, (now - campaign.start_unix) / 86_400.0)
-        expected = campaign.daily_budget_eur * elapsed_days
+        base = policy.broad_base_rate
+        expected = campaign.daily_budget_eur * (
+            (now - campaign.start_unix) / 86_400.0)
         if expected <= 0.0:
-            return policy.broad_base_rate
+            return base
+        # Spend and supply are never negative, so neither factor exceeds
+        # 1; a factor at or below 0 leaves the base rate.
         spent = self.pacer.total_spend.get(campaign.campaign_id, 0.0)
-        pressure = min(1.0, max(0.0, (expected - spent) / expected))
+        pressure = (expected - spent) / expected
+        if pressure <= 0.0:
+            return base
         supply = self.matched_supply(campaign.campaign_id)
-        scarcity = min(1.0, max(0.0, 1.0 - supply / policy.matched_supply_ref))
-        return (policy.broad_base_rate
-                + pressure * scarcity
-                * (policy.broad_max_rate - policy.broad_base_rate))
+        scarcity = 1.0 - supply / policy.matched_supply_ref
+        if scarcity <= 0.0:
+            return base
+        return base + pressure * scarcity * (policy.broad_max_rate - base)
 
     # ------------------------------------------------------------------ #
 
@@ -201,27 +246,30 @@ class AdServer:
             return None
         now = pageview.timestamp
         country = self.resolve_country(pageview)
+        publisher = pageview.publisher
         candidates: list[CampaignSpec] = []
         decisions: dict[str, MatchDecision] = {}
-        for campaign in self.campaigns:
-            if not campaign.is_active(now):
+        # Same campaigns, same order and same draws as checking every
+        # campaign's flight, geo, exclusions and cap in turn.
+        for entry in self._plan_for(country, publisher):
+            if not entry.start_unix <= now < entry.end_unix:
                 continue
-            if not campaign.targets_country(country):
-                continue
-            if campaign.excludes_publisher(pageview.publisher.domain,
-                                           pageview.publisher.is_anonymous):
-                continue
-            if not self._under_cap(campaign, pageview):
-                continue
-            decision = self.matcher.decide(campaign, pageview.publisher,
-                                           pageview.interests, rng,
-                                           broad_rate=self.broad_rate(campaign, now))
+            campaign = entry.campaign
             campaign_id = campaign.campaign_id
-            self._supply_examined[campaign_id] = \
-                self._supply_examined.get(campaign_id, 0) + 1
+            if entry.cap is not None and self._frequency.get(
+                    (campaign_id, pageview.ip, pageview.user_agent),
+                    0) >= entry.cap:
+                continue
+            contextual = entry.contextual
+            if contextual is None:
+                contextual = entry.contextual = \
+                    self.matcher.contextual_match(campaign, publisher)
+            decision = self.matcher.settle(
+                contextual, campaign, pageview.interests, rng,
+                self.broad_rate(campaign, now))
+            self._supply_examined[campaign_id] += 1
             if decision.claimed_contextual:
-                self._supply_matched[campaign_id] = \
-                    self._supply_matched.get(campaign_id, 0) + 1
+                self._supply_matched[campaign_id] += 1
             if not decision.eligible:
                 continue
             if not self.pacer.may_bid(campaign, now, rng):

@@ -31,6 +31,7 @@ from repro.faults.inject import NULL_INJECTOR, FaultInjector
 from repro.faults.quarantine import QuarantineEntry, QuarantineLog
 from repro.net.transport import Connection, Endpoint, SimulatedNetwork
 from repro.net.websocket import (
+    DecoderCounters,
     Frame,
     FrameDecoder,
     MessageAssembler,
@@ -148,6 +149,10 @@ class CollectorServer:
         self._decode_timer = wall_timer(
             self.metrics, "collector.decode_wall_seconds",
             help="host time spent decoding frames per process() call")
+        # The decoders' ws.* counters, shared by every session; registered
+        # at the first accepted connection, so a collector that accepts
+        # none has none in its snapshot.
+        self._decoder_counters: DecoderCounters | None = None
 
     # -- registry-backed legacy counters ------------------------------- #
 
@@ -203,11 +208,14 @@ class CollectorServer:
 
     def _accept(self, connection: Connection) -> None:
         self._connections_accepted.inc()
+        if self._decoder_counters is None:
+            self._decoder_counters = DecoderCounters(self.metrics)
         self._sessions[connection.connection_id] = _Session(
             connection=connection,
             decoder=FrameDecoder(require_masked=True, metrics=self.metrics,
                                  tracer=self.tracer,
-                                 connection_id=connection.connection_id))
+                                 connection_id=connection.connection_id,
+                                 counters=self._decoder_counters))
 
     def session_count(self) -> int:
         """Connections currently tracked (not yet finalized)."""

@@ -224,6 +224,30 @@ class FrameTooLarge(WebSocketError):
     """
 
 
+class DecoderCounters:
+    """The ``ws.*`` counters of one registry, resolved once.
+
+    Sessions of one collector share a registry, so these counters
+    aggregate across every decoder the server creates; the collector
+    resolves them once and hands them to each new decoder.
+    """
+
+    __slots__ = ("bytes_fed", "frames_decoded", "frames_oversized",
+                 "frames_rejected")
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.bytes_fed = metrics.counter(
+            "ws.bytes_fed", help="raw bytes offered to the frame decoder")
+        self.frames_decoded = metrics.counter(
+            "ws.frames_decoded", help="complete frames decoded")
+        self.frames_oversized = metrics.counter(
+            "ws.frames_oversized",
+            help="frames rejected for exceeding max_frame_size")
+        self.frames_rejected = metrics.counter(
+            "ws.frames_rejected",
+            help="frames rejected as malformed (incl. oversized)")
+
+
 class FrameDecoder:
     """Incremental decoder: feed arbitrary byte chunks, iterate frames.
 
@@ -241,7 +265,8 @@ class FrameDecoder:
                  max_frame_size: Optional[int] = DEFAULT_MAX_FRAME_SIZE,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Tracer | None = None,
-                 connection_id: Optional[int] = None) -> None:
+                 connection_id: Optional[int] = None,
+                 counters: Optional[DecoderCounters] = None) -> None:
         self._buffer = bytearray()
         self.require_masked = require_masked
         self.max_frame_size = max_frame_size
@@ -257,20 +282,14 @@ class FrameDecoder:
         #: Where/why the most recent rejection happened (None/"" before).
         self.last_error_offset: Optional[int] = None
         self.last_error_reason = ""
-        # Sessions of one collector share a registry, so these counters
-        # aggregate across every decoder the server creates.
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._metrics = metrics
-        self._bytes_fed = metrics.counter(
-            "ws.bytes_fed", help="raw bytes offered to the frame decoder")
-        self._frames_decoded = metrics.counter(
-            "ws.frames_decoded", help="complete frames decoded")
-        self._frames_oversized = metrics.counter(
-            "ws.frames_oversized",
-            help="frames rejected for exceeding max_frame_size")
-        self._frames_rejected = metrics.counter(
-            "ws.frames_rejected",
-            help="frames rejected as malformed (incl. oversized)")
+        if counters is None:
+            counters = DecoderCounters(metrics)
+        self._bytes_fed = counters.bytes_fed
+        self._frames_decoded = counters.frames_decoded
+        self._frames_oversized = counters.frames_oversized
+        self._frames_rejected = counters.frames_rejected
 
     @property
     def pending_bytes(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
@@ -100,6 +101,4 @@ class CumulativeSampler:
 
     def sample(self, rng: random.Random) -> int:
         """Return an index drawn with probability proportional to weight."""
-        import bisect
-
-        return bisect.bisect_left(self._cumulative, rng.random())
+        return bisect_left(self._cumulative, rng.random())

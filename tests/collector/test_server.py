@@ -184,6 +184,26 @@ class TestFrameHandling:
         assert collector.malformed_messages == 0
 
 
+class TestDecoderCounters:
+    def test_no_connection_registers_no_ws_counters(self, setup):
+        collector, _, _ = setup
+        names = [name for name, _, _ in collector.metrics.snapshot().counters]
+        assert not any(name.startswith("ws.") for name in names)
+
+    def test_connections_share_one_set_of_ws_counters(self, setup):
+        collector, _, network = setup
+        first, now = open_connection(collector, network)
+        second, _ = open_connection(collector, network)
+        sessions = collector._sessions
+        assert sessions[first.connection_id].decoder._frames_decoded is \
+            sessions[second.connection_id].decoder._frames_decoded
+        send_text(collector, first, HELLO, now)
+        send_text(collector, second, HELLO, now)
+        send_text(collector, second, "EVT|kind=click|t=1.0", now + 1)
+        snapshot = collector.metrics.snapshot()
+        assert snapshot.counter_value("ws.frames_decoded") == 3
+
+
 class TestFinalize:
     def test_finalize_open_connection_rejected(self, setup):
         collector, _, network = setup
