@@ -60,13 +60,15 @@ class Auction:
         rotation on equal bids.
         """
         outcome = self._decide(request, candidates, rng)
-        self.tracer.event(
-            "auction.decide", at=self.tracer.now,
-            candidates=len(candidates),
-            winner=outcome.winner.campaign_id if outcome.winner else "external",
-            clearing_cpm=outcome.clearing_cpm,
-            external_bid_cpm=outcome.external_bid_cpm,
-            contested=outcome.contested)
+        if self.tracer.recording:
+            self.tracer.event(
+                "auction.decide", at=self.tracer.now,
+                candidates=len(candidates),
+                winner=(outcome.winner.campaign_id if outcome.winner
+                        else "external"),
+                clearing_cpm=outcome.clearing_cpm,
+                external_bid_cpm=outcome.external_bid_cpm,
+                contested=outcome.contested)
         return outcome
 
     def _decide(self, request: AdRequest, candidates: Sequence[CampaignSpec],

@@ -91,9 +91,11 @@ class BudgetPacer:
 
     def _gate(self, campaign: CampaignSpec, unix_time: float,
               allowed: bool, reason: str) -> bool:
-        self.tracer.event("pacing.gate", at=unix_time,
-                          campaign=campaign.campaign_id,
-                          allowed=allowed, reason=reason)
+        # ``unix_time`` is the pageview's own instant, never past ``now``.
+        if self.tracer.recording:
+            self.tracer.event("pacing.gate", at=unix_time,
+                              campaign=campaign.campaign_id,
+                              allowed=allowed, reason=reason)
         return allowed
 
     def record_spend(self, campaign: CampaignSpec, unix_time: float,

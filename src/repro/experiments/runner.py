@@ -452,10 +452,10 @@ def run_shard(config: ExperimentConfig, shard: ShardSpec,
     conversions: list[ConversionEvent] = []
     coverage = CoverageCounts()
     pageview_count = 0
-    stream = browsing.stream(humans, bots, shard.start_unix, shard.end_unix,
-                             rngs.stream(f"browse/{scope}"))
     with shard_timer.measure(), memwatch.stage("simulate"):
-        for pageview in stream:
+        for pageview in browsing.stream(humans, bots, shard.start_unix,
+                                        shard.end_unix,
+                                        rngs.stream(f"browse/{scope}")):
             pageview_count += 1
             pageview_counter.inc()
             tracer.start("impression", at=pageview.timestamp,

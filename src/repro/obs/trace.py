@@ -197,6 +197,16 @@ class Tracer:
         return self._active
 
     @property
+    def recording(self) -> bool:
+        """Are span records kept?
+
+        A call site may skip building an event's attributes when this is
+        false, but only for an event stamped no later than :attr:`now`:
+        an untraced tracer still advances :attr:`now` to each span's end.
+        """
+        return self.recorder is not None
+
+    @property
     def now(self) -> float:
         """The last simulated instant an instrumentation point reported."""
         return self._now

@@ -8,10 +8,11 @@ target verticals.  The output is a single time-merged stream of
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from repro.taxonomy.tree import TaxonomyTree
@@ -27,6 +28,9 @@ _SECONDS_PER_DAY = 86_400.0
 _DIURNAL = [0.25, 0.15, 0.10, 0.08, 0.08, 0.12, 0.25, 0.45,
             0.65, 0.80, 0.90, 0.95, 1.00, 0.95, 0.90, 0.90,
             0.95, 1.00, 1.10, 1.20, 1.25, 1.15, 0.80, 0.45]
+#: ``random.choices`` builds exactly this table from ``weights=_DIURNAL``.
+_DIURNAL_CUM = list(accumulate(_DIURNAL))
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,36 @@ def poisson(rng: random.Random, lam: float) -> int:
     return count
 
 
+def _merge_by_day(visitors: list[Iterator[Pageview]],
+                  start: float) -> Iterator[Pageview]:
+    """Merge time-ordered per-visitor streams one sim day at a time.
+
+    Each day's pageviews are taken visitor by visitor and stably sorted
+    by timestamp, so equal timestamps keep visitor order, then emission
+    order: the order a heap merge keyed on timestamp gives.  Memory is
+    one day's pageviews plus one pending pageview per visitor.
+    """
+    pending = []
+    for visitor in visitors:
+        head = next(visitor, None)
+        if head is not None:
+            pending.append((head, visitor))
+    boundary = start
+    while pending:
+        boundary += _SECONDS_PER_DAY
+        batch: list[Pageview] = []
+        waiting = []
+        for head, visitor in pending:
+            while head is not None and head.timestamp < boundary:
+                batch.append(head)
+                head = next(visitor, None)
+            if head is not None:
+                waiting.append((head, visitor))
+        pending = waiting
+        batch.sort(key=_TIMESTAMP)
+        yield from batch
+
+
 class BrowsingSimulator:
     """Generates pageview streams over a publisher universe."""
 
@@ -121,22 +155,24 @@ class BrowsingSimulator:
                rng: random.Random) -> Iterator[Pageview]:
         """Time-merged pageview stream for one simulation window.
 
-        Per-visitor substreams are individually time-sorted generators;
-        a heap merge yields the global stream in timestamp order without
-        materialising it (memory stays O(#visitors)).
+        Every visitor draws only from its own child ``random.Random``,
+        seeded from *rng* here, in visitor order (humans, then bots).
+        Per-visitor substreams are individually time-sorted generators,
+        merged a sim day at a time (see :func:`_merge_by_day`), so memory
+        is O(#visitors + pageviews in one day of the window).
         """
         if window_end <= window_start:
             raise ValueError("window must have positive duration")
         generators: list[Iterator[Pageview]] = []
         for device in humans:
-            child = random.Random(rng.getrandbits(64))
-            generators.append(self._human_stream(device, window_start,
-                                                 window_end, child))
+            generators.append(self._human_stream(
+                device, window_start, window_end,
+                random.Random(rng.getrandbits(64))))
         for bot in bots:
-            child = random.Random(rng.getrandbits(64))
-            generators.append(self._bot_stream(bot, window_start,
-                                               window_end, child))
-        return heapq.merge(*generators, key=lambda view: view.timestamp)
+            generators.append(self._bot_stream(
+                bot, window_start, window_end,
+                random.Random(rng.getrandbits(64))))
+        return _merge_by_day(generators, window_start)
 
     # ------------------------------------------------------------------ #
     # humans
@@ -154,27 +190,46 @@ class BrowsingSimulator:
         starts = sorted(self._session_start(start, end, rng)
                         for _ in range(session_count))
         base, extra = divmod(total, session_count)
+        # Bound once per visitor: rng methods, config fields and the
+        # interest set.  Per page the draws are, in order: favourite
+        # revisit, publisher, dwell, page, user agent and think time.
+        random_, choice = rng.random, rng.choice
+        lognormvariate, randrange, uniform = (rng.lognormvariate,
+                                              rng.randrange, rng.uniform)
+        pick_user_agent = device.pick_user_agent
+        sample_publisher = self.universe.sample_pageview_publisher
+        interests, country = device.interests, device.country
+        interest_set = frozenset(interests)
+        revisit_prob = config.favorite_revisit_prob
+        dwell_median = config.human_dwell_median * device.engagement
+        dwell_sigma = config.human_dwell_sigma
+        think_min, think_max = config.think_time_min, config.think_time_max
+        ip, user_id = device.ip, device.user_id
         now = 0.0
         for index, session_start in enumerate(starts):
             pages = base + (1 if index < extra else 0)
             now = max(now, session_start)
-            for page in range(pages):
-                publisher = self._choose_publisher(device, favorites, rng)
-                dwell = self._human_dwell(device, publisher, rng)
+            for _ in range(pages):
+                if favorites and random_() < revisit_prob:
+                    publisher = choice(favorites)
+                else:
+                    publisher = sample_publisher(rng, interest_set, country)
+                dwell = max(0.2, lognormvariate(
+                    math.log(dwell_median * publisher.engagement),
+                    dwell_sigma))
                 yield Pageview(
                     timestamp=now,
                     publisher=publisher,
-                    url=publisher.url_for_page(rng.randrange(100_000)),
-                    ip=device.ip,
-                    user_agent=device.pick_user_agent(rng),
-                    country=device.country,
-                    interests=device.interests,
+                    url=publisher.url_for_page(randrange(100_000)),
+                    ip=ip,
+                    user_agent=pick_user_agent(rng),
+                    country=country,
+                    interests=interests,
                     dwell_seconds=dwell,
                     is_bot=False,
-                    visitor_id=device.user_id,
+                    visitor_id=user_id,
                 )
-                now += dwell + rng.uniform(config.think_time_min,
-                                           config.think_time_max)
+                now += dwell + uniform(think_min, think_max)
 
     def _pick_favorites(self, device: Device,
                         rng: random.Random) -> list[Publisher]:
@@ -184,27 +239,12 @@ class BrowsingSimulator:
                 rng, interests=device.interests, country=device.country))
         return favorites
 
-    def _choose_publisher(self, device: Device, favorites: list[Publisher],
-                          rng: random.Random) -> Publisher:
-        if favorites and rng.random() < self.config.favorite_revisit_prob:
-            return rng.choice(favorites)
-        return self.universe.sample_pageview_publisher(
-            rng, interests=device.interests, country=device.country)
-
-    def _human_dwell(self, device: Device, publisher: Publisher,
-                     rng: random.Random) -> float:
-        config = self.config
-        median = (config.human_dwell_median * device.engagement
-                  * publisher.engagement)
-        return max(0.2, rng.lognormvariate(math.log(median),
-                                           config.human_dwell_sigma))
-
     @staticmethod
     def _session_start(start: float, end: float, rng: random.Random) -> float:
         """Diurnally weighted session start within the window."""
         span_days = max(1, int(math.ceil((end - start) / _SECONDS_PER_DAY)))
         day = rng.randrange(span_days)
-        hour = rng.choices(range(24), weights=_DIURNAL, k=1)[0]
+        hour = rng.choices(range(24), cum_weights=_DIURNAL_CUM, k=1)[0]
         moment = (start + day * _SECONDS_PER_DAY + hour * 3600.0
                   + rng.random() * 3600.0)
         # Clamp into the window (the last partial day can overshoot).
@@ -233,27 +273,34 @@ class BrowsingSimulator:
         burst_starts = sorted(start + rng.random() * (end - start - 1.0)
                               for _ in range(burst_count))
         base, extra = divmod(total, burst_count)
+        choice, gauss, randrange, uniform = (rng.choice, rng.gauss,
+                                             rng.randrange, rng.uniform)
+        dwell_mean = bot.dwell_seconds
+        think_min = config.bot_burst_think_min
+        think_max = config.bot_burst_think_max
+        last_moment = end - 0.001
+        ip, user_agent, country = bot.ip, bot.user_agent, bot.claimed_country
+        interests, visitor_id = bot.target_topics, -bot.bot_id
         now = start
         for index, burst_start in enumerate(burst_starts):
             pages = base + (1 if index < extra else 0)
             now = max(now, burst_start)
             for _ in range(pages):
-                publisher = rng.choice(targets)
-                dwell = max(0.3, rng.gauss(bot.dwell_seconds, 0.8))
+                publisher = choice(targets)
+                dwell = max(0.3, gauss(dwell_mean, 0.8))
                 yield Pageview(
-                    timestamp=min(now, end - 0.001),
+                    timestamp=min(now, last_moment),
                     publisher=publisher,
-                    url=publisher.url_for_page(rng.randrange(100_000)),
-                    ip=bot.ip,
-                    user_agent=bot.user_agent,
-                    country=bot.claimed_country,
-                    interests=bot.target_topics,
+                    url=publisher.url_for_page(randrange(100_000)),
+                    ip=ip,
+                    user_agent=user_agent,
+                    country=country,
+                    interests=interests,
                     dwell_seconds=dwell,
                     is_bot=True,
-                    visitor_id=-bot.bot_id,
+                    visitor_id=visitor_id,
                 )
-                now += dwell + rng.uniform(config.bot_burst_think_min,
-                                           config.bot_burst_think_max)
+                now += dwell + uniform(think_min, think_max)
 
     def _bot_targets(self, bot: Bot) -> list[Publisher]:
         targets: list[Publisher] = []

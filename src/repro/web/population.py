@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Collection
 
 from repro.taxonomy.lexicon import Lexicon, build_default_lexicon
 from repro.util.rng import CumulativeSampler, zipf_weights
@@ -208,7 +209,7 @@ class PublisherUniverse:
             raise KeyError(f"unknown publisher: {domain!r}") from None
 
     def sample_pageview_publisher(self, rng: random.Random,
-                                  interests: tuple[str, ...] = (),
+                                  interests: Collection[str] = (),
                                   country: str = "",
                                   attempts: int = 4) -> Publisher:
         """Draw the publisher for one pageview.
@@ -216,16 +217,19 @@ class PublisherUniverse:
         Popularity-weighted Zipf sampling, biased toward the visitor's
         interests and country: a few redraws keep the stream realistic
         (people mostly read what they care about, in their locale) without
-        making interests deterministic.
+        making interests deterministic.  A caller drawing many pageviews
+        for one visitor passes *interests* as a ``frozenset`` built once.
         """
-        choice = self.publishers[self._popularity.sample(rng)]
-        interest_set = set(interests)
+        if not isinstance(interests, frozenset):
+            interests = frozenset(interests)
+        locales = (country, "GLOBAL")
+        publishers, sample = self.publishers, self._popularity.sample
+        choice = publishers[sample(rng)]
         for _ in range(attempts):
-            topical = interest_set.intersection(choice.topics)
-            local = not country or choice.country_focus in (country, "GLOBAL")
-            if (topical or not interest_set) and local:
+            if ((not interests or not interests.isdisjoint(choice.topics))
+                    and (not country or choice.country_focus in locales)):
                 return choice
-            choice = self.publishers[self._popularity.sample(rng)]
+            choice = publishers[sample(rng)]
         return choice
 
     def matching_publishers(self, topic: str) -> list[Publisher]:

@@ -24,6 +24,7 @@ from repro.adnetwork.matching import MatchDecision, MatchEngine, MatchReason
 from repro.adnetwork.server import AdServer, DeliveredImpression, NetworkPolicy
 from repro.geo.ipdb import GeoIpDatabase
 from repro.geo.providers import ProviderRegistry
+from repro.obs.trace import FlightRecorder, Tracer
 from tests.adnetwork.conftest import END, START, make_pageview, make_publisher
 
 HOURS = 3600.0
@@ -289,3 +290,30 @@ def test_streams_reach_every_branch(lexicon, registry, ipdb):
     assert "Research-RU" in examined
     assert {MatchReason.CONTEXTUAL, MatchReason.BEHAVIOURAL,
             MatchReason.BROAD, MatchReason.NONE} <= reasons
+
+
+def test_untraced_serve_keeps_the_traced_now(lexicon, registry, ipdb):
+    """Serve-path events skipped while not recording never move ``now``.
+
+    Journal events are stamped with the tracer's ``now``, so an untraced
+    run must report the same instant as a traced one after every serve.
+    """
+    views = pageview_stream(17, registry)
+    policy = NetworkPolicy(ivt_prefilter_rate=0.2)
+    nows = {}
+    for tracer in (Tracer(FlightRecorder()), Tracer()):
+        server = AdServer(campaigns(), MatchEngine(lexicon), ExternalDemand(),
+                          ipdb, policy=policy, tracer=tracer)
+        rng = random.Random(17)
+        seen = []
+        for view in views:
+            tracer.start("impression", at=view.timestamp)
+            impression = server.serve(view, rng)
+            seen.append(tracer.now)
+            if impression is None:
+                tracer.abandon()
+            else:
+                tracer.commit()
+        nows[tracer.recording] = seen
+    assert len(server.impressions) > 0
+    assert nows[True] == nows[False]

@@ -9,8 +9,9 @@ then re-baseline them on purpose (together with
 The digest is SHA-256 over one sorted, compact JSON document holding
 the run's stats, its coverage totals and the audit's JSON export.  The
 scenario is the paper experiment at scale 0.01 with scenario seed
-4280358945, the inputs of the repo benchmark's default workload.  The
-serial runner and the two-worker pool must both reproduce it.
+4280358945, the inputs of the repo benchmark's default workload, under
+each of the none, flaky and hostile fault presets.  The serial runner
+and the two-worker pool must both reproduce each digest.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ SCENARIO_SEED, SCALE = 4280358945, 0.01
 
 GOLDEN = {
     "none": "b42eae43df52987ea0319bd35f9de1715c0a9c1e5d06c949b318a1e960577116",
+    "flaky": "f37975da67f04dfd0bd90bafe5afac7ad2c3d13dbd9eae3e7024b07c912b6f2b",
     "hostile": "be1888114b49a21dbaede7aeae825e65456c8b5bf47030c87a141d2713d98ada",
 }
 
